@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -78,6 +79,30 @@ const exampleScenario = `{
   }
 }`
 
+// parseScenario decodes a scenario and rejects the inputs the federation
+// cannot be assembled from or that would run no campaign: no sites, a
+// repeated site ID, or a non-positive budget.
+func parseScenario(raw []byte) (Scenario, error) {
+	var sc Scenario
+	if err := json.Unmarshal(raw, &sc); err != nil {
+		return Scenario{}, err
+	}
+	if len(sc.Sites) == 0 {
+		return Scenario{}, errors.New("no sites")
+	}
+	seen := make(map[string]bool, len(sc.Sites))
+	for _, s := range sc.Sites {
+		if seen[s] {
+			return Scenario{}, fmt.Errorf("duplicate site %q", s)
+		}
+		seen[s] = true
+	}
+	if sc.Campaign.Budget <= 0 {
+		return Scenario{}, fmt.Errorf("campaign budget %d, want > 0", sc.Campaign.Budget)
+	}
+	return sc, nil
+}
+
 func main() {
 	configPath := flag.String("config", "", "scenario JSON path")
 	example := flag.Bool("example", false, "print a template scenario and exit")
@@ -103,8 +128,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var sc Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
+	sc, err := parseScenario(raw)
+	if err != nil {
 		log.Fatalf("aisle-sim: bad scenario: %v", err)
 	}
 

@@ -95,11 +95,11 @@ type Engine struct {
 	eng  *sim.Engine
 	opts Options
 
-	mu       sync.Mutex
-	regs     []watchedReg
-	tracer   *trace.Tracer
-	prof     *prof.Profiler
-	derived  *telemetry.Registry
+	mu      sync.Mutex
+	regs    []watchedReg
+	tracer  *trace.Tracer
+	prof    *prof.Profiler
+	derived *telemetry.Registry
 	// dropG caches trace.dropped{site=...} gauges per site so the sampling
 	// tick never rebuilds a labeled key; reset when derived changes.
 	dropG    map[string]*telemetry.Gauge
@@ -473,8 +473,7 @@ func (e *Engine) Table() *telemetry.Table {
 }
 
 // SpineProfile is the per-subsystem event-count profile of the simulation
-// spine, feeding the "allocation-free sharded spine" roadmap item: which
-// layer generates the event and message volume a run pays for.
+// spine: which layer generates the event and message volume a run pays for.
 type SpineProfile struct {
 	SimEvents       uint64 `json:"sim_events"`
 	NetSent         int64  `json:"net_sent"`

@@ -12,7 +12,7 @@ import (
 type Entry struct {
 	Seq     uint64   `json:"seq"`
 	At      sim.Time `json:"at_ns"`
-	Type    string   `json:"type"`  // "sched" | "fault" | "slo" | "alert" | "violation"
+	Type    string   `json:"type"`            // "sched" | "fault" | "slo" | "alert" | "violation"
 	Event   string   `json:"event,omitempty"` // decision/fault kind or SLO name
 	Job     string   `json:"job,omitempty"`
 	Tenant  string   `json:"tenant,omitempty"`

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// refEvent / refHeap reimplement the pre-wheel container/heap event queue:
-// the reference ordering the timer wheel must reproduce exactly.
+// refEvent / refHeap are a container/heap event queue over (at, seq): the
+// reference ordering the engine's hand-rolled heap must reproduce exactly.
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -23,8 +23,8 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(*refEvent)) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -33,11 +33,11 @@ func (h *refHeap) Pop() any {
 	return ev
 }
 
-// TestWheelMatchesHeapOrdering drives the wheel engine and the reference
+// TestEngineMatchesRefHeapOrdering drives the engine and the reference
 // heap with identical randomized schedules — same-instant events,
-// cancellations, negative-delay clamps, nested schedules spanning every
-// wheel level — and requires the exact same fire order.
-func TestWheelMatchesHeapOrdering(t *testing.T) {
+// cancellations, negative-delay clamps, delays from sub-microsecond to
+// days — and requires the exact same fire order.
+func TestEngineMatchesRefHeapOrdering(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -45,8 +45,8 @@ func TestWheelMatchesHeapOrdering(t *testing.T) {
 		var refSeq uint64
 		var gotOrder, wantOrder []int
 
-		// Delay distribution spans all wheel levels: sub-tick, a few
-		// ticks, and far-future (days).
+		// Delay distribution spans sub-microsecond, milliseconds,
+		// minutes and far-future (days).
 		delay := func() Time {
 			switch r.Intn(5) {
 			case 0:
@@ -124,16 +124,16 @@ func TestWheelMatchesHeapOrdering(t *testing.T) {
 		}
 		for i := range gotOrder {
 			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: order diverges at %d: wheel=%d ref=%d", seed, i, gotOrder[i], wantOrder[i])
+				t.Fatalf("seed %d: order diverges at %d: engine=%d ref=%d", seed, i, gotOrder[i], wantOrder[i])
 			}
 		}
 	}
 }
 
-// TestWheelNestedRandom drives nested scheduling (events scheduling more
-// events) against the reference, exercising cursor advancement with the
-// clock in motion.
-func TestWheelNestedRandom(t *testing.T) {
+// TestNestedRandomOrdering drives nested scheduling (events scheduling more
+// events) with the clock in motion and requires fire times never to go
+// backwards.
+func TestNestedRandomOrdering(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -160,58 +160,6 @@ func TestWheelNestedRandom(t *testing.T) {
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				t.Fatalf("seed %d: time went backwards at %d: %v -> %v", seed, i, fired[i-1], fired[i])
-			}
-		}
-	}
-}
-
-// TestShardMergeMatchesSequential runs an identical nested workload on a
-// single-shard engine and on a sharded engine (events pinned round-robin
-// across shards) and requires the identical fire sequence — the
-// deterministic-merge guarantee the PDES mode rests on.
-func TestShardMergeMatchesSequential(t *testing.T) {
-	run := func(shards int) []int64 {
-		e := NewEngine()
-		idx := make([]int, 0, shards)
-		idx = append(idx, 0)
-		for i := 1; i < shards; i++ {
-			idx = append(idx, e.AddShard())
-		}
-		r := rand.New(rand.NewSource(7))
-		var log []int64
-		var n int
-		// Shard targets derive from the deterministic spawn counter, not
-		// from r, so the random-draw sequence is identical whatever the
-		// shard count — only placement differs.
-		var spawn func()
-		spawn = func() {
-			log = append(log, int64(e.Now()))
-			if n >= 3000 {
-				return
-			}
-			n++
-			d := Time(r.Int63n(int64(Minute)))
-			e.ScheduleShard(idx[n%len(idx)], d, spawn)
-		}
-		for i := 0; i < 64; i++ {
-			n++
-			d := Time(r.Int63n(int64(Hour)))
-			e.ScheduleShard(idx[i%len(idx)], d, spawn)
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return log
-	}
-	seq := run(1)
-	for _, shards := range []int{2, 5, 16} {
-		got := run(shards)
-		if len(got) != len(seq) {
-			t.Fatalf("%d shards: %d events vs %d sequential", shards, len(got), len(seq))
-		}
-		for i := range got {
-			if got[i] != seq[i] {
-				t.Fatalf("%d shards: trajectory diverges at event %d: %d vs %d", shards, i, got[i], seq[i])
 			}
 		}
 	}
@@ -291,4 +239,127 @@ func TestStaleHandleSafety(t *testing.T) {
 		t.Fatal("recycled event did not fire")
 	}
 	_ = ev2
+}
+
+// maxFuzzOps caps the operations FuzzEngineOrdering decodes from one input.
+const maxFuzzOps = 2048
+
+// FuzzEngineOrdering decodes the input two bytes at a time into engine
+// operations — Schedule, negative-delay Schedule, Cancel, Reschedule and
+// RunUntil — mirrors each on the reference heap, and requires the same
+// fire order, clock, pending count and Cancel/Reschedule outcomes. The
+// first byte of a pair picks the operation (modulo 5) and, for Reschedule,
+// the event it targets (the quotient); the second byte is the delay, or
+// the event a Cancel targets.
+func FuzzEngineOrdering(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 10, 1, 3, 3, 0, 4, 70, 2, 1, 0, 200, 3, 1, 4, 255})
+	f.Add([]byte{0, 0, 0, 0, 0, 33, 2, 0, 2, 0, 3, 1, 4, 0, 0, 1})
+	// Reschedule onto an instant another event already holds: the moved
+	// event must fire second, as it was scheduled later.
+	f.Add([]byte{0, 0, 0, 36, 3, 36, 4, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Delays reach 31 days, so at most maxFuzzOps operations cannot push
+		// the clock past MaxTime; scale 0 stresses same-instant ties.
+		scales := [8]Time{0, 1, Microsecond, Millisecond, Second, Minute, Hour, Day}
+		delay := func(x byte) Time { return Time(x&31) * scales[x>>5] }
+		if len(data) > 2*maxFuzzOps {
+			data = data[:2*maxFuzzOps]
+		}
+
+		e := NewEngine()
+		ref := &refHeap{}
+		var refSeq uint64
+		var refNow Time
+		var got, want []int
+		// Live reference entries have id >= 0; firing or cancelling one
+		// tombstones it with -1.
+		type entry struct {
+			ev Event
+			re *refEvent
+		}
+		var entries []entry
+		refLive := 0
+
+		schedule := func(id int, d Time) entry {
+			ev := e.ScheduleArg(d, func(any) { got = append(got, id) }, nil)
+			if d < 0 {
+				d = 0
+			}
+			re := &refEvent{at: refNow + d, seq: refSeq, id: id}
+			refSeq++
+			refLive++
+			heap.Push(ref, re)
+			return entry{ev, re}
+		}
+		runUntil := func(limit Time) {
+			if err := e.RunUntil(limit); err != nil {
+				t.Fatal(err)
+			}
+			for ref.Len() > 0 && (*ref)[0].at <= limit {
+				re := heap.Pop(ref).(*refEvent)
+				if re.id >= 0 {
+					want = append(want, re.id)
+					re.id = -1
+					refLive--
+					refNow = re.at
+				}
+			}
+			if refNow < limit && limit != MaxTime {
+				refNow = limit
+			}
+		}
+
+		for ; len(data) >= 2; data = data[2:] {
+			op, x := data[0]%5, data[1]
+			switch {
+			case op == 0:
+				entries = append(entries, schedule(len(entries), delay(x)))
+			case op == 1:
+				entries = append(entries, schedule(len(entries), -delay(x)))
+			case op == 4:
+				runUntil(e.Now() + delay(x))
+			case len(entries) == 0:
+			case op == 2:
+				en := entries[int(x)%len(entries)]
+				live := en.re.id >= 0
+				if e.Cancel(en.ev) != live {
+					t.Fatalf("Cancel of entry with live=%v disagreed", live)
+				}
+				if live {
+					en.re.id = -1
+					refLive--
+				}
+			case op == 3:
+				i := int(data[0]/5) % len(entries)
+				en := entries[i]
+				id, live := en.re.id, en.re.id >= 0
+				nev := e.Reschedule(en.ev, delay(x))
+				if nev.Valid() != live {
+					t.Fatalf("Reschedule of entry with live=%v returned valid=%v", live, nev.Valid())
+				}
+				if !live {
+					continue
+				}
+				en.re.id = -1
+				d := delay(x)
+				re := &refEvent{at: refNow + d, seq: refSeq, id: id}
+				refSeq++
+				heap.Push(ref, re)
+				entries[i] = entry{nev, re}
+			}
+			if e.Now() != refNow || e.Pending() != refLive {
+				t.Fatalf("engine now=%v pending=%d, reference now=%v pending=%d",
+					e.Now(), e.Pending(), refNow, refLive)
+			}
+		}
+		runUntil(MaxTime)
+		if len(got) != len(want) {
+			t.Fatalf("fired %d events, reference fired %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("order diverges at %d: engine=%d ref=%d", i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -4,12 +4,9 @@
 //
 // The kernel executes events in a total order defined by (time, sequence
 // number), which makes every simulation run bit-reproducible for a given
-// seed regardless of host parallelism. Internally the pending set is held
-// in per-shard hierarchical timer wheels (see wheel.go) with pooled event
-// nodes, so Schedule/fire/Cancel allocate nothing in steady state; the
-// shards are merged deterministically by exact (time, sequence) order, so
-// shard count never changes a trajectory — sequential single-shard mode is
-// the reference and sharded mode is proven byte-identical against it.
+// seed regardless of host parallelism. Internally the pending set is one
+// binary min-heap over that order (see heap.go) with pooled event nodes, so
+// Schedule/fire/Cancel allocate nothing in steady state.
 package sim
 
 import (
@@ -90,23 +87,12 @@ var ErrHorizon = errors.New("sim: event horizon reached")
 
 // Engine is a discrete-event simulation executive. The zero value is ready
 // to use; NewEngine is provided for symmetry and future options.
-//
-// An Engine always has at least one event shard (shard 0). AddShard
-// registers additional shards — typically one per simulated site — each
-// with its own timer wheel. The executive merges shard heads by exact
-// (time, sequence) order, so the trajectory is identical whatever the
-// shard count; shards exist so the pending set scales (each wheel stays
-// small and cache-resident) and to carve the conservative-lookahead
-// boundaries for parallel execution (see Lookahead).
 type Engine struct {
-	now    Time
-	seq    uint64
-	shards []*shard
-	free   *node // node freelist, linked through next
-
-	curShard int // shard of the currently executing event
-	pending  int
-	running  bool
+	now     Time
+	seq     uint64
+	queue   []*node // binary min-heap by (at, seq); see heap.go
+	free    *node   // node freelist, linked through next
+	running bool
 
 	// Horizon bounds the number of events processed in a single Run call.
 	// Zero means no bound.
@@ -117,66 +103,10 @@ type Engine struct {
 	Prof *prof.Profiler
 
 	processed uint64
-	lookahead Time
 }
 
 // NewEngine returns an Engine positioned at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
-
-func (e *Engine) ensure() {
-	if len(e.shards) == 0 {
-		e.shards = append(e.shards, newShard())
-	}
-}
-
-// AddShard registers a new event shard and returns its index. Shard 0
-// always exists and is the default for events scheduled outside any
-// sharded context. Events scheduled from within an executing event inherit
-// that event's shard unless placed explicitly with the *Shard variants.
-func (e *Engine) AddShard() int {
-	e.ensure()
-	e.shards = append(e.shards, newShard())
-	return len(e.shards) - 1
-}
-
-// Shards reports the number of event shards (always >= 1 once the engine
-// has been used).
-func (e *Engine) Shards() int {
-	e.ensure()
-	return len(e.shards)
-}
-
-// SetLookahead records the conservative lookahead: the minimum cross-shard
-// propagation latency (in netsim terms, the fastest link between sites).
-// No event scheduled by shard A into shard B can land earlier than B's
-// horizon + lookahead, which is the classic PDES safe window. The current
-// executive merges shards exactly, so lookahead is advisory — it sizes the
-// safe window reported by ShardStats and bounds future parallel execution.
-func (e *Engine) SetLookahead(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	e.lookahead = d
-}
-
-// Lookahead reports the conservative cross-shard lookahead window.
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// ShardStat describes one shard's progress for observability.
-type ShardStat struct {
-	Pending   int    // events currently queued on this shard
-	Processed uint64 // events fired from this shard
-}
-
-// ShardStats returns per-shard queue depth and fire counts.
-func (e *Engine) ShardStats() []ShardStat {
-	e.ensure()
-	out := make([]ShardStat, len(e.shards))
-	for i, s := range e.shards {
-		out[i] = ShardStat{Pending: s.count, Processed: s.processed}
-	}
-	return out
-}
 
 // Now reports current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -186,7 +116,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending reports the number of live events currently queued. Cancelled
 // events leave the queue immediately and are not counted.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // acquire pops a node from the freelist or allocates one.
 func (e *Engine) acquire() *node {
@@ -207,8 +137,6 @@ func (e *Engine) release(n *node) {
 	n.fnA = nil
 	n.arg = nil
 	n.label = ""
-	n.prev = nil
-	n.where = whereFree
 	n.next = e.free
 	e.free = n
 }
@@ -233,30 +161,7 @@ func (e *Engine) ScheduleArg(d Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: ScheduleArg called with nil function")
 	}
-	return e.at(e.now+d, nil, fn, arg, e.curShard)
-}
-
-// ScheduleShard is Schedule targeting an explicit event shard, used by the
-// network layer to place deliveries on the destination site's shard.
-func (e *Engine) ScheduleShard(shardIdx int, d Time, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	if fn == nil {
-		panic("sim: ScheduleShard called with nil function")
-	}
-	return e.at(e.now+d, fn, nil, nil, shardIdx)
-}
-
-// ScheduleArgShard combines ScheduleArg and ScheduleShard.
-func (e *Engine) ScheduleArgShard(shardIdx int, d Time, fn func(any), arg any) Event {
-	if d < 0 {
-		d = 0
-	}
-	if fn == nil {
-		panic("sim: ScheduleArgShard called with nil function")
-	}
-	return e.at(e.now+d, nil, fn, arg, shardIdx)
+	return e.at(e.now+d, nil, fn, arg)
 }
 
 // ScheduleLabeled is Schedule with a diagnostic label used in traces.
@@ -272,16 +177,12 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	return e.at(t, fn, nil, nil, e.curShard)
+	return e.at(t, fn, nil, nil)
 }
 
-func (e *Engine) at(t Time, fn func(), fnA func(any), arg any, shardIdx int) Event {
-	e.ensure()
+func (e *Engine) at(t Time, fn func(), fnA func(any), arg any) Event {
 	if t < e.now {
 		t = e.now
-	}
-	if shardIdx < 0 || shardIdx >= len(e.shards) {
-		panic(fmt.Sprintf("sim: schedule on unknown shard %d (have %d)", shardIdx, len(e.shards)))
 	}
 	n := e.acquire()
 	n.at = t
@@ -289,10 +190,8 @@ func (e *Engine) at(t Time, fn func(), fnA func(any), arg any, shardIdx int) Eve
 	n.fn = fn
 	n.fnA = fnA
 	n.arg = arg
-	n.shard = int32(shardIdx)
 	e.seq++
-	e.pending++
-	e.shards[shardIdx].insert(n)
+	e.push(n)
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -304,8 +203,7 @@ func (e *Engine) Cancel(ev Event) bool {
 	if n == nil || n.gen != ev.gen {
 		return false
 	}
-	e.shards[n.shard].remove(n)
-	e.pending--
+	e.remove(int(n.idx))
 	e.release(n)
 	return true
 }
@@ -320,56 +218,23 @@ func (e *Engine) Reschedule(ev Event, d Time) Event {
 		return Event{}
 	}
 	fn, fnA, arg, label := n.fn, n.fnA, n.arg, n.label
-	shardIdx := int(n.shard)
 	e.Cancel(ev)
 	if d < 0 {
 		d = 0
 	}
-	nev := e.at(e.now+d, fn, fnA, arg, shardIdx)
+	nev := e.at(e.now+d, fn, fnA, arg)
 	nev.n.label = label
 	return nev
 }
 
-// minShard returns the shard holding the globally earliest (time, seq)
-// event, or nil when every shard is drained. This is the deterministic
-// merge point: because the comparison is the exact total order, the merged
-// trajectory is identical to the single-shard reference bit for bit.
-func (e *Engine) minShard() *shard {
-	var best *shard
-	for _, s := range e.shards {
-		if !s.peek() {
-			continue
-		}
-		if best == nil || s.headAt < best.headAt ||
-			(s.headAt == best.headAt && s.headSeq < best.headSeq) {
-			best = s
-		}
-	}
-	return best
-}
-
-// step executes the next event. It reports false when the queue is empty.
-func (e *Engine) step() bool {
-	s := e.minShard()
-	if s == nil {
-		return false
-	}
-	e.fire(s)
-	return true
-}
-
-// fire pops and executes the head event of shard s, which the caller has
-// established holds the global minimum.
-func (e *Engine) fire(s *shard) {
-	n := s.popHead()
+// fire pops and executes the earliest queued event.
+func (e *Engine) fire() {
+	n := e.pop()
 	if n.at < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, n.at))
 	}
 	e.now = n.at
-	e.curShard = int(n.shard)
-	e.pending--
 	e.processed++
-	s.processed++
 	fn, fnA, arg := n.fn, n.fnA, n.arg
 	e.release(n)
 	r := e.Prof.Enter(prof.SiteSimEvent)
@@ -379,7 +244,6 @@ func (e *Engine) fire(s *shard) {
 		fn()
 	}
 	r.End()
-	e.curShard = 0
 }
 
 // Run executes events until the queue drains. It returns ErrHorizon if the
@@ -395,16 +259,11 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.running {
 		panic("sim: re-entrant Run")
 	}
-	e.ensure()
 	e.running = true
 	defer func() { e.running = false }()
 	var n uint64
-	for {
-		s := e.minShard()
-		if s == nil || s.headAt > limit {
-			break
-		}
-		e.fire(s)
+	for len(e.queue) > 0 && e.queue[0].at <= limit {
+		e.fire()
 		n++
 		if e.Horizon > 0 && n >= e.Horizon {
 			return ErrHorizon
