@@ -399,3 +399,64 @@ func TestRPCLatencyMetricRecorded(t *testing.T) {
 		t.Fatalf("mean rpc latency = %v s, want ~0.01", h.Mean())
 	}
 }
+
+// TestCallNeverCompletesBeforeReturning pins the contract callers build
+// on: Call only books events, so its callback runs from a later event and
+// never before Call returns, on every failure path as well as success.
+// The scheduler relies on this to treat a pump as free of completions.
+func TestCallNeverCompletesBeforeReturning(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(*netsim.Network, *Fabric)
+		to    Address
+		want  error // nil: the call succeeds
+	}{
+		{"loopback with zero latency", func(net *netsim.Network, _ *Fabric) {
+			net.Site("ornl").LANLatency = 0
+		}, addr("ornl", "m"), nil},
+		{"refused send on a dead link", func(net *netsim.Network, _ *Fabric) {
+			net.SetLinkUp("ornl", "anl", false)
+		}, addr("anl", "m"), ErrTimeout},
+		{"refused send to an unknown site", nil, addr("nowhere", "m"), ErrTimeout},
+		{"no endpoint", nil, addr("anl", "ghost"), ErrHandlerFailed},
+		{"middleware rejection", func(_ *netsim.Network, f *Fabric) {
+			f.Use(func(env *Envelope) error {
+				if env.Kind == KindRequest {
+					return errors.New("no token")
+				}
+				return nil
+			})
+		}, addr("anl", "m"), ErrHandlerFailed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, net, f := testFabric(t, netsim.Link{Latency: sim.Millisecond})
+			for _, site := range []string{"ornl", "anl"} {
+				f.Broker(netsim.SiteID(site)).RegisterFunc("m", 0, func(*Envelope) (any, error) { return 1, nil })
+			}
+			if tc.setup != nil {
+				tc.setup(net, f)
+			}
+			returned, calls := false, 0
+			var gotErr error
+			f.Call(CallOpts{From: addr("ornl", "c"), To: tc.to, Method: "m", Retries: 0},
+				func(_ any, err error) {
+					if !returned {
+						t.Error("callback ran before Call returned")
+					}
+					calls++
+					gotErr = err
+				})
+			returned = true
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if calls != 1 {
+				t.Fatalf("callback ran %d times, want once", calls)
+			}
+			if tc.want == nil && gotErr != nil || tc.want != nil && !errors.Is(gotErr, tc.want) {
+				t.Fatalf("err = %v, want %v", gotErr, tc.want)
+			}
+		})
+	}
+}

@@ -29,8 +29,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -294,6 +296,9 @@ type tenantQ struct {
 	// retriesC is sched.retries{site=...,tenant=...}, cached for the same
 	// reason: building a canonical Key allocates, and retry storms are hot.
 	retriesC *telemetry.Counter
+	// class is the tenant's effective class, frozen at the start of the
+	// pump that is serving it.
+	class int
 }
 
 // siteSched is the per-site dispatcher: the fair-share queues for work
@@ -302,16 +307,15 @@ type siteSched struct {
 	bind    SiteBinding
 	met     *telemetry.Registry
 	tenants map[string]*tenantQ
+	// queued is the number of jobs across the site's tenant queues.
+	queued int
 	// depth is the site's labelled queue-depth gauge, cached like waitHist.
 	depth *telemetry.Gauge
-}
 
-func (ss *siteSched) queueLen() int {
-	n := 0
-	for _, t := range ss.tenants {
-		n += len(t.jobs)
-	}
-	return n
+	// serving is the pump's service order and blocked the kinds whose
+	// route came back empty during it; both are reused from pump to pump.
+	serving []*tenantQ
+	blocked []string
 }
 
 // maxWeight bounds tenant weights so no share dominates unboundedly.
@@ -527,6 +531,7 @@ func (s *Scheduler) Submit(j Job, cb func(instrument.Result, error)) {
 		qj.qspan, qj.qctx = j.Trace.Start(qj.enqueued, string(j.Origin), trace.KindSchedQueue, j.Kind)
 	}
 	t.jobs = append(t.jobs, qj)
+	ss.queued++
 	s.queued++
 	s.metrics.Counter("sched.submitted").Inc()
 	s.observe(DecisionSubmit, qj, "")
@@ -558,66 +563,79 @@ func (s *Scheduler) pumpAll() {
 // pumpSite dispatches as much of the site's queue as routing allows, then
 // considers stealing if the queue ran dry while local capacity idles.
 //
-// Service order is priority then weighted fair share: active tenants are
-// grouped by effective class (base class plus aging) and the classes are
-// tried from highest to lowest; within a class, tenants go in virtual-time
-// order (furthest behind their share first), and each dispatch advances
-// the winner's vtime by 1/weight — the deficit-round-robin discipline
-// realized as strides, which stays exact when probes fail. An unroutable
-// head job drops its tenant for the rest of the pump without advancing
-// vtime, and a lower class backfills capacity a blocked higher class
-// cannot use — a blocked kind never idles the fleet, and the blocked
-// tenant keeps its place in the fair order (plus aging) for next time.
-//
-// The order is built once per pump, not per dispatch: virtual time is
-// frozen inside the pump (so effective classes cannot change) and
-// dispatches only consume capacity (so a blocked head stays blocked);
-// only the winner's position moves, by one sorted reinsertion.
+// Nothing is rebuilt per dispatch: the service order is sorted once per
+// pump into a slice the site reuses (see serve), and a kind whose route
+// comes back empty is routed once per pump, not once per waiting tenant
+// (see tryDispatch).
 func (s *Scheduler) pumpSite(ss *siteSched) {
-	ids := make([]string, 0, len(ss.tenants))
-	for id, t := range ss.tenants {
-		if len(t.jobs) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	byClass := make(map[int][]*tenantQ)
-	var classes []int
-	for _, id := range ids {
-		t := ss.tenants[id]
-		c := s.effClass(t)
-		if _, ok := byClass[c]; !ok {
-			classes = append(classes, c)
-		}
-		byClass[c] = append(byClass[c], t)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(classes)))
-	before := func(a, b *tenantQ) bool {
-		if a.vtime != b.vtime {
-			return a.vtime < b.vtime
-		}
-		return a.cfg.ID < b.cfg.ID
-	}
-	for _, cl := range classes {
-		group := byClass[cl]
-		sort.SliceStable(group, func(i, j int) bool { return before(group[i], group[j]) })
-		for len(group) > 0 {
-			t := group[0]
-			group = group[1:]
-			if !s.tryDispatch(ss, t) {
-				continue // blocked for the rest of this pump
-			}
-			t.vtime += 1 / t.cfg.Weight
-			if len(t.jobs) == 0 {
-				continue
-			}
-			i := sort.Search(len(group), func(j int) bool { return before(t, group[j]) })
-			group = append(group[:i], append([]*tenantQ{t}, group[i:]...)...)
-		}
-	}
-	if ss.queueLen() == 0 {
+	ss.blocked = ss.blocked[:0]
+	s.serve(ss, s.tryDispatch)
+	if ss.queued == 0 {
 		s.maybeSteal(ss)
 	}
+}
+
+// serve offers the site's backlogged tenants to try, one head job at a
+// time, until every tenant has run dry or been blocked.
+//
+// Service order is priority then weighted fair share: active tenants are
+// ordered by effective class (base class plus aging), highest first; within
+// a class, tenants go in virtual-time order (furthest behind their share
+// first), ties broken by ID, and each dispatch advances the winner's vtime
+// by 1/weight — the deficit-round-robin discipline realized as strides,
+// which stays exact when probes fail. An unroutable head job drops its
+// tenant for the rest of the pump without advancing vtime, and a lower
+// class backfills capacity a blocked higher class cannot use — a blocked
+// kind never idles the fleet, and the blocked tenant keeps its place in the
+// fair order (plus aging) for next time.
+//
+// The order is built and sorted once per pump in a reused slice, not per
+// dispatch: virtual time is frozen inside the pump (so effective classes
+// cannot change) and dispatches only consume capacity (so a blocked head
+// stays blocked, which also lets tryDispatch route each blocked kind once
+// per pump); only the winner's position moves, by one binary search and an
+// in-place shift that never writes past the slice's length.
+func (s *Scheduler) serve(ss *siteSched, try func(*siteSched, *tenantQ) bool) {
+	q := ss.serving[:0]
+	for _, t := range ss.tenants {
+		if len(t.jobs) > 0 {
+			t.class = s.effClass(t)
+			q = append(q, t)
+		}
+	}
+	slices.SortFunc(q, serviceOrder)
+	ss.serving = q
+	for len(q) > 0 {
+		t := q[0]
+		if !try(ss, t) {
+			q = q[1:] // blocked for the rest of this pump
+			continue
+		}
+		t.vtime += 1 / t.cfg.Weight
+		if len(t.jobs) == 0 {
+			q = q[1:]
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(q[1:], t, serviceOrder)
+		copy(q[:i], q[1:i+1])
+		q[i] = t
+	}
+	// A released tenant left here would keep its jobs' callbacks, and the
+	// campaigns behind them, reachable until a later pump overwrote it.
+	clear(ss.serving)
+}
+
+// serviceOrder orders tenants by effective class (highest first), then
+// virtual time, then ID. IDs are unique within a site, so the order is
+// total.
+func serviceOrder(a, b *tenantQ) int {
+	if c := cmp.Compare(b.class, a.class); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.vtime, b.vtime); c != 0 {
+		return c
+	}
+	return strings.Compare(a.cfg.ID, b.cfg.ID)
 }
 
 // effClass is a tenant's effective priority class: its base class promoted
@@ -673,6 +691,7 @@ func (s *Scheduler) expireQueued() {
 			keep := t.jobs[:0]
 			for _, qj := range t.jobs {
 				if now-qj.enqueued >= qj.job.Timeout {
+					ss.queued--
 					s.queued--
 					expired = append(expired, qj)
 					continue
@@ -708,6 +727,7 @@ func (s *Scheduler) ReleaseTenant(id string) {
 		ss := s.sites[sid]
 		if t := ss.tenants[id]; t != nil {
 			canceled = append(canceled, t.jobs...)
+			ss.queued -= len(t.jobs)
 			s.queued -= len(t.jobs)
 			delete(ss.tenants, id)
 		}
@@ -751,7 +771,10 @@ func (s *Scheduler) unTransit(batch []*queuedJob) {
 // whether it went out. A job already past its Timeout fails fast with
 // ErrExpired instead of being shipped to an instrument with a dead RPC
 // budget; a job still inside its retry backoff blocks its tenant for this
-// pump.
+// pump. A head with no capability floors whose kind already failed to
+// route in this pump is blocked without routing again: nothing inside a
+// pump frees capacity, because the clock stands still and a dispatch's
+// reply never arrives before the bus call that sent it returns.
 func (s *Scheduler) tryDispatch(ss *siteSched, t *tenantQ) bool {
 	qj := t.jobs[0]
 	now := s.eng.Now()
@@ -760,15 +783,24 @@ func (s *Scheduler) tryDispatch(ss *siteSched, t *tenantQ) bool {
 	}
 	if now-qj.enqueued >= qj.job.Timeout {
 		t.jobs = t.jobs[1:]
+		ss.queued--
 		s.queued--
 		s.failExpired(qj, now)
 		return true
 	}
+	plain := len(qj.job.MinCaps) == 0
+	if plain && slices.Contains(ss.blocked, qj.job.Kind) {
+		return false
+	}
 	rec, ok := s.route(ss, qj.job)
 	if !ok {
+		if plain {
+			ss.blocked = append(ss.blocked, qj.job.Kind)
+		}
 		return false
 	}
 	t.jobs = t.jobs[1:]
+	ss.queued--
 	s.queued--
 	s.dispatch(ss, t, qj, rec)
 	return true
@@ -1122,6 +1154,7 @@ func (s *Scheduler) requeue(qj *queuedJob, reason, kind string, backoff sim.Time
 		qj.qspan.SetAttr("attempt", float64(qj.attempt+qj.reroutes))
 	}
 	t.jobs = append(t.jobs, qj)
+	ss.queued++
 	s.queued++
 	if backoff > 0 {
 		s.eng.Schedule(backoff, func() { s.schedulePump() })
@@ -1162,14 +1195,14 @@ func (s *Scheduler) maybeSteal(ss *siteSched) {
 		if o == ss {
 			continue
 		}
-		if q := o.queueLen(); q > deepest {
+		if q := o.queued; q > deepest {
 			deepest, victim = q, o
 		}
 	}
 	if victim == nil {
 		return
 	}
-	want := (victim.queueLen() + 1) / 2
+	want := (victim.queued + 1) / 2
 	stolen := s.stealFrom(victim, ss, want)
 	if len(stolen) == 0 {
 		return
@@ -1199,6 +1232,7 @@ func (s *Scheduler) maybeSteal(ss *siteSched) {
 			}
 			ss.syncVtime(t)
 			t.jobs = append(t.jobs, qj)
+			ss.queued++
 			s.queued++
 		}
 		s.pumpSite(ss)
@@ -1229,6 +1263,7 @@ func (s *Scheduler) stealFrom(victim, thief *siteSched, want int) []*queuedJob {
 				continue
 			}
 			t.jobs = t.jobs[:len(t.jobs)-1]
+			victim.queued--
 			s.queued--
 			out = append(out, qj)
 			took = true
@@ -1250,6 +1285,6 @@ func (s *Scheduler) gauges() {
 	}
 	for _, id := range s.order {
 		ss := s.sites[id]
-		ss.depth.Set(float64(ss.queueLen()))
+		ss.depth.Set(float64(ss.queued))
 	}
 }

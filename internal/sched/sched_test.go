@@ -57,8 +57,34 @@ func newTestbed(t *testing.T, sites []netsim.SiteID, opts Options) *testbed {
 	}
 	dir.Start()
 	tb.s.Start()
-	t.Cleanup(func() { tb.s.Stop(); dir.Stop() })
+	t.Cleanup(func() {
+		tb.s.Stop()
+		dir.Stop()
+		checkQueueCounts(t, tb.s)
+	})
 	return tb
+}
+
+// checkQueueCounts holds the scheduler's queue-depth counters to the
+// queues they count: each site's to its tenants' backlogs, and the
+// federation total to the sum over sites.
+func checkQueueCounts(t *testing.T, s *Scheduler) {
+	t.Helper()
+	total := 0
+	for _, id := range s.order {
+		ss := s.sites[id]
+		n := 0
+		for _, tq := range ss.tenants {
+			n += len(tq.jobs)
+		}
+		if ss.queued != n {
+			t.Errorf("site %s counts %d queued jobs, its queues hold %d", id, ss.queued, n)
+		}
+		total += n
+	}
+	if s.queued != total {
+		t.Errorf("scheduler counts %d queued jobs, the site queues hold %d", s.queued, total)
+	}
 }
 
 // addReactor installs a fluidic reactor at a site: fleet, bus endpoint,
